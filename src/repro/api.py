@@ -75,8 +75,7 @@ def parse(text, lang=None, name="<idl>"):
 
 
 def compile(text, lang=None, *, interface=None, flags=None, name="<idl>",
-            presentation=None, backend=None, renderer="py",
-            **backend_options):
+            presentation=None, backend=None, **backend_options):
     """Compile IDL *text* end to end; returns a CompiledInterface.
 
     ``text`` may be IDL source, ``.py`` pyschema source, a dataclass, an
@@ -85,36 +84,30 @@ def compile(text, lang=None, *, interface=None, flags=None, name="<idl>",
     object's type).  ``interface`` selects one interface when the input
     defines several.  ``presentation``/``backend``/``flags`` override
     the language defaults, exactly as :class:`repro.core.Flick` does.
-    ``renderer`` selects how the optimized marshal IR becomes codecs:
-    ``"py"`` (rendered Python source, the default) or ``"closures"``
-    (closure codecs compiled straight from the IR at load time) — or a
-    :class:`repro.core.options.RendererPolicy` carrying the renderer,
-    disabled passes, and backend options in one value.
 
     The returned :class:`repro.core.handle.CompiledInterface` is a
     :class:`repro.core.compiler.CompileResult` subclass: everything the
     old facade returned is still there, plus the handle surface
-    (``.module``, ``.codec_table``, ``.recompile(op, renderer=...)``).
+    (``.module``, ``.codec_table``, ``.recompile(op, flags=...)``).
     """
     from repro.core.compiler import Flick
 
     fe = _resolve(text, lang, name)
     flick = Flick(
         frontend=fe.name, presentation=presentation, backend=backend,
-        flags=flags, renderer=renderer, **backend_options
+        flags=flags, **backend_options
     )
     return flick.compile(text, interface=interface, name=name)
 
 
 def compile_all(text, lang=None, *, flags=None, name="<idl>",
-                presentation=None, backend=None, renderer="py",
-                **backend_options):
+                presentation=None, backend=None, **backend_options):
     """Compile every interface in *text*; returns ``{name: result}``."""
     from repro.core.compiler import Flick
 
     fe = _resolve(text, lang, name)
     flick = Flick(
         frontend=fe.name, presentation=presentation, backend=backend,
-        flags=flags, renderer=renderer, **backend_options
+        flags=flags, **backend_options
     )
     return flick.compile_all(text, name=name)

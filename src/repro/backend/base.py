@@ -2,9 +2,10 @@
 
 This module assembles complete, executable Python stub modules from a
 PRES_C presentation: record and exception classes, the codec functions
-(lowered to marshal IR by :mod:`repro.mir` and rendered by the selected
-renderer), a client proxy class, a servant base class, and the server
-dispatch function with its demultiplexing table.
+(lowered to marshal IR by :mod:`repro.mir` and rendered to Python
+source by :mod:`repro.mir.render_py`), a client proxy class, a servant
+base class, and the server dispatch function with its demultiplexing
+table.
 
 Concrete back ends (ONC/XDR, IIOP, Mach 3, Fluke) subclass
 :class:`OptimizingBackEnd` and provide only protocol policy: header
@@ -26,7 +27,6 @@ import hashlib
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
-from repro.errors import BackEndError
 from repro.core.options import OptFlags
 from repro.mint.analysis import analyze_storage
 from repro.pres import nodes as p
@@ -35,10 +35,6 @@ from repro.mir import ops as mir_ops
 from repro.mir.lower import OutOfLineSet
 
 mangle = mir_ops.mangle
-
-#: Renderers :meth:`OptimizingBackEnd.generate` accepts.
-RENDERERS = ("py", "closures", "c")
-
 
 @dataclass(frozen=True)
 class HeaderSpec:
@@ -70,7 +66,6 @@ class GeneratedStubs:
     c_header: str
     metadata: Dict[str, object] = field(default_factory=dict)
     module_name: str = ""
-    renderer: str = "py"
     mir: object = field(default=None, repr=False)
     #: Zero-argument callable returning the naive type IR
     #: (:class:`repro.mir.ops.NaiveProgram`) for this interface.  The
@@ -81,29 +76,20 @@ class GeneratedStubs:
     #: The back-end instance that generated these stubs and the flags it
     #: ran with — what :meth:`repro.core.handle.CompiledInterface
     #: .recompile` needs to rebuild codecs for one op under a different
-    #: renderer or pass configuration.
+    #: pass configuration.
     backend_instance: object = field(default=None, repr=False)
     flags: object = field(default=None, repr=False)
 
     _module = None
 
     def load(self):
-        """Exec the generated Python module (cached) and return it.
-
-        Under the ``closures`` renderer the module's codec functions are
-        then replaced in place by closure codecs compiled straight from
-        the optimized marshal IR (no source round-trip).
-        """
+        """Exec the generated Python module (cached) and return it."""
         if self._module is None:
             from repro.core.loader import load_stub_module
 
             module = load_stub_module(
                 self.py_source, self.module_name or "flick_generated"
             )
-            if self.renderer == "closures":
-                from repro.mir.render_closures import install_closures
-
-                install_closures(module, self.mir)
             if self.shapes_factory is not None:
                 module._flick_shapes = _memoized(self.shapes_factory)
             self._module = module
@@ -201,29 +187,13 @@ class OptimizingBackEnd:
     # Entry point
     # ------------------------------------------------------------------
 
-    def generate(self, presc, flags=None, renderer="py"):
+    def generate(self, presc, flags=None):
         """Generate stubs for *presc*; returns :class:`GeneratedStubs`.
 
-        *renderer* selects how the optimized marshal IR becomes
-        executable codecs: ``"py"`` renders Python source (the default),
-        ``"closures"`` additionally compiles the IR straight to
-        closure-based codecs installed over the module at load time, and
-        ``"c"`` is implied — the C artifact is always produced.  A
-        :class:`repro.core.options.RendererPolicy` is accepted in place
-        of the name; its ``disable_passes`` fold into *flags*.
+        The codecs are rendered as Python source; the C artifact is
+        always produced alongside.
         """
-        if not isinstance(renderer, str):
-            from repro.core.options import RendererPolicy
-
-            policy = RendererPolicy.coerce(renderer)
-            flags = policy.resolve_flags(flags)
-            renderer = policy.renderer
         flags = flags or OptFlags()
-        if renderer not in RENDERERS:
-            raise BackEndError(
-                "unknown renderer %r; available renderers: %s"
-                % (renderer, ", ".join(RENDERERS))
-            )
         self.supports(presc)
         w = PyWriter()
         metadata = {
@@ -251,11 +221,6 @@ class OptimizingBackEnd:
                     presc.mint_registry,
                 )
         program = self._emit_codec_functions(w, presc, flags, metadata)
-        if renderer == "closures" and program is None:
-            raise BackEndError(
-                "renderer 'closures' needs the marshal-IR pipeline; "
-                "the %s back end emits codec text directly" % self.name
-            )
         self.emit_check_reply(w, presc)
         w.blank()
         self._emit_client(w, presc, flags)
@@ -266,16 +231,12 @@ class OptimizingBackEnd:
         c_source, c_header = self._emit_c(presc, flags)
         # Key the module name on the generated source so two versions of
         # one interface (say, an old and a new schema under diff) load
-        # side by side without ever aliasing in sys.modules.  The
-        # closure renderer shares py_source with the source renderer but
-        # installs different codec objects, so it gets its own suffix.
+        # side by side without ever aliasing in sys.modules.
         module_name = "flick_%s_%s_%s" % (
             mangle(presc.interface_name).lower(),
             self.name.replace("-", "_"),
             hashlib.sha256(py_source.encode("utf-8")).hexdigest()[:10],
         )
-        if renderer == "closures":
-            module_name += "_clo"
         return GeneratedStubs(
             interface_name=presc.interface_name,
             backend_name=self.name,
@@ -285,7 +246,6 @@ class OptimizingBackEnd:
             c_header=c_header,
             metadata=metadata,
             module_name=module_name,
-            renderer=renderer,
             mir=program,
             shapes_factory=self._shapes_factory(presc, flags),
             backend_instance=self,
@@ -302,7 +262,7 @@ class OptimizingBackEnd:
         return build
 
     # ------------------------------------------------------------------
-    # Codec emission (renderer seam)
+    # Codec emission
     # ------------------------------------------------------------------
 
     def _emit_codec_functions(self, w, presc, flags, metadata):
@@ -423,7 +383,7 @@ class OptimizingBackEnd:
             w.blank()
 
     # ------------------------------------------------------------------
-    # Per-operation layout facts shared by the renderers
+    # Per-operation layout facts shared by the emitters
     # ------------------------------------------------------------------
 
     def _header_const_name(self, stub, kind):

@@ -3,8 +3,8 @@
 The writer-driven ``MarshalEmitter``/``UnmarshalEmitter`` pair that used
 to live here was replaced by the explicit marshal IR: lowering now
 happens in :mod:`repro.mir.lower`, the section-3 optimizations run as
-passes in :mod:`repro.mir.passes`, and Python source is one renderer
-among several (:mod:`repro.mir.render_py`).  This module keeps the
+passes in :mod:`repro.mir.passes`, and Python source comes from
+:mod:`repro.mir.render_py`.  This module keeps the
 handful of names external code imported from the old emitter library.
 """
 

@@ -306,8 +306,8 @@ class OrbelineStyleCompiler(IiopBackEnd):
     origin = "Visigenic"
     baseline_flags = BASELINE_FLAGS
 
-    def generate(self, presc, flags=None, renderer="py"):
-        return super().generate(presc, self.baseline_flags, renderer)
+    def generate(self, presc, flags=None):
+        return super().generate(presc, self.baseline_flags)
 
     def _emit_codec_functions(self, w, presc, flags, metadata):
         # Rival code styles bypass the marshal IR and write codec text

@@ -316,10 +316,10 @@ class RpcgenStyleCompiler(OncXdrBackEnd):
     origin = "Sun"
     baseline_flags = BASELINE_FLAGS
 
-    def generate(self, presc, flags=None, renderer="py"):
+    def generate(self, presc, flags=None):
         # Baselines have a fixed code style; optimization flags are not
         # applicable and are ignored.
-        return super().generate(presc, self.baseline_flags, renderer)
+        return super().generate(presc, self.baseline_flags)
 
     def _emit_codec_functions(self, w, presc, flags, metadata):
         # Rival code styles bypass the marshal IR and write codec text

@@ -17,7 +17,7 @@ from typing import Dict, Optional, Tuple
 
 from repro.errors import FlickError
 from repro import frontends as frontend_registry
-from repro.core.options import OptFlags, RendererPolicy
+from repro.core.options import OptFlags
 from repro.obs import trace
 
 #: Default back end per presentation style.
@@ -73,7 +73,7 @@ class Flick:
     """
 
     def __init__(self, frontend="corba", presentation=None, backend=None,
-                 flags=None, renderer="py", **backend_options):
+                 flags=None, **backend_options):
         try:
             self.fe = frontend_registry.get(frontend)
         except FlickError:
@@ -89,12 +89,8 @@ class Flick:
             # Conjoined front ends carry their own presentation.
             self.presentation = presentation
             self.backend = backend or self.fe.backend
-        # renderer accepts a name or a RendererPolicy; explicit
-        # backend_options merge over the policy's own.
-        self.policy = RendererPolicy.coerce(renderer, **backend_options)
-        self.flags = self.policy.resolve_flags(flags or OptFlags())
-        self.renderer = self.policy.renderer
-        self.backend_options = self.policy.options()
+        self.flags = flags or OptFlags()
+        self.backend_options = backend_options
 
     # ------------------------------------------------------------------
 
@@ -148,8 +144,7 @@ class Flick:
         phase_started = perf_counter()
         with trace.span("compile.emit"):
             backend = make_backend(self.backend, **self.backend_options)
-            stubs = backend.generate(presc, self.flags,
-                                     renderer=self.renderer)
+            stubs = backend.generate(presc, self.flags)
         timings["emit_s"] = perf_counter() - phase_started
         timings["total_s"] = perf_counter() - total_started
         from repro.core.handle import CompiledInterface
@@ -182,8 +177,7 @@ class Flick:
         phase_started = perf_counter()
         with trace.span("compile.emit"):
             backend = make_backend(self.backend, **self.backend_options)
-            stubs = backend.generate(presc, self.flags,
-                                     renderer=self.renderer)
+            stubs = backend.generate(presc, self.flags)
         timings["emit_s"] = perf_counter() - phase_started
         timings["total_s"] = perf_counter() - total_started
         return CompiledInterface(

@@ -3,7 +3,7 @@
 ``api.compile`` historically returned a :class:`repro.core.compiler
 .CompileResult` whose consumers immediately reached into the
 content-hashed stub module (``result.load_module()``) and manipulated
-codec functions by name.  Runtime tiering, the supervisor's generation
+codec functions by name.  The profiler, the supervisor's generation
 files, and user code all need to do that *safely* — so the facade now
 returns a :class:`CompiledInterface`: the same result object (it is a
 subclass, every existing field and method keeps working) plus a stable
@@ -12,10 +12,9 @@ surface over the loaded module:
 * :attr:`module` — the loaded stub module (cached, same as
   ``load_module()``),
 * :attr:`codec_table` — live per-operation codec bindings,
-* :attr:`renderers` — the renderer registry,
 * :meth:`recompile` — rebuild one operation's (or the whole
-  interface's) codecs under a different renderer or pass configuration
-  and optionally install them atomically over the module.
+  interface's) codecs under a different pass configuration and
+  optionally install them atomically over the module.
 
 Old code that treated the result as the module itself keeps working
 through a deprecation shim: unknown attributes forward to the loaded
@@ -29,7 +28,7 @@ import warnings
 
 from repro.errors import FlickError
 from repro.core.compiler import CompileResult
-from repro.core.options import OptFlags, RendererPolicy
+from repro.core.options import OptFlags
 
 #: Codec-entry naming convention shared with the profiler and runtime:
 #: form prefix -> regex capturing the operation name.
@@ -56,7 +55,7 @@ class CompiledInterface(CompileResult):
 
     Everything the old result carried is still here (``aoi``,
     ``presc``, ``stubs``, ``timings``, ``load_module()``); the handle
-    adds the module/codec surface that runtime tiering and operators
+    adds the module/codec surface that instrumentation and operators
     manipulate, so nothing outside this class needs to know the
     generated module's content-hashed name or entry conventions.
     """
@@ -67,18 +66,6 @@ class CompiledInterface(CompileResult):
     def module(self):
         """The loaded stub module (cached; same object every time)."""
         return self.stubs.load()
-
-    @property
-    def renderer(self):
-        """The renderer these stubs were generated with."""
-        return self.stubs.renderer
-
-    @property
-    def renderers(self):
-        """Renderer names :meth:`recompile` accepts."""
-        from repro.backend.base import RENDERERS
-
-        return RENDERERS
 
     @property
     def mir(self):
@@ -94,7 +81,8 @@ class CompiledInterface(CompileResult):
         """Live codec bindings: op -> {entry name: current function}.
 
         Read from the loaded module's dict on every access, so the table
-        reflects tier swaps and profiler wrappers the moment they land.
+        reflects recompiled codecs and profiler wrappers the moment they
+        land.
         """
         table = {}
         for name, value in vars(self.module).items():
@@ -106,31 +94,23 @@ class CompiledInterface(CompileResult):
 
     # -- recompilation --------------------------------------------------
 
-    def recompile(self, op=None, *, renderer=None, flags=None,
-                  policy=None, install=True):
+    def recompile(self, op=None, *, flags=None, install=True):
         """Rebuild codecs and (optionally) install them over the module.
 
         Args:
             op: one operation name, or None for the whole interface.
-            renderer: target renderer name (``"py"`` or ``"closures"``);
-                defaults to the stubs' current renderer.
-            flags: base :class:`OptFlags`; defaults to the flags the
-                stubs were generated with.
-            policy: a :class:`RendererPolicy` — its renderer is used
-                unless *renderer* overrides it, and its
-                ``disable_passes`` fold into *flags*.
+            flags: :class:`OptFlags` to rebuild under; defaults to the
+                flags the stubs were generated with.
             install: when True (default) the new functions replace the
                 module's entries one ``dict`` store at a time — atomic
-                under the GIL, and safe mid-traffic because every
-                renderer produces byte-identical wire output from the
-                same IR.  When False the functions are only returned
-                (how the tiering engine shadow-verifies before
-                committing).
+                under the GIL, and safe mid-traffic because every pass
+                configuration produces byte-identical wire output.  When
+                False the functions are only returned (to verify them
+                before committing).
 
-        Returns ``{entry name: function}`` for the rebuilt codecs.
-        Out-of-line helper functions the new codecs need are installed
-        into the module when absent regardless of *install* (no
-        existing code references a name that was never bound).
+        Returns ``{entry name: function}`` for the rebuilt codecs; they
+        carry their own helpers and constants, so nothing else in the
+        module changes.
         """
         stubs = self.stubs
         backend = getattr(stubs, "backend_instance", None)
@@ -139,27 +119,12 @@ class CompiledInterface(CompileResult):
                 "these stubs carry no back end/marshal IR;"
                 " recompile needs the MIR pipeline"
             )
-        if policy is not None:
-            policy = RendererPolicy.coerce(policy)
-            if renderer is None:
-                renderer = policy.renderer
-            flags = policy.resolve_flags(
-                flags if flags is not None else stubs.flags)
-        renderer = renderer or stubs.renderer
-        if renderer == "c":
-            raise FlickError(
-                "the C artifact is inspect-only; recompile to 'py'"
-                " or 'closures'"
-            )
         if flags is None:
             flags = stubs.flags or OptFlags()
         program = self._build_program(backend, flags)
         functions = self._select_functions(program, op)
         module = self.module
-        if renderer == "closures":
-            new = self._compile_closures(program, functions, module)
-        else:
-            new = self._compile_py(program, functions, module)
+        new = self._compile_py(program, functions, module)
         if install:
             for name, function in new.items():
                 module.__dict__[name] = function
@@ -186,24 +151,6 @@ class CompiledInterface(CompileResult):
                    ", ".join(self.operations()))
             )
         return selected
-
-    def _compile_closures(self, program, functions, module):
-        """IR -> step closures over the live module globals.
-
-        Helper functions (``_m_<T>``/``_u_<T>``) resolve lazily through
-        the module dict at call time, so entries compiled here can call
-        helpers from either renderer — both implement the same IR-level
-        signature.  Helpers the module has never bound (a different
-        pass configuration can name new ones) are installed eagerly.
-        """
-        from repro.mir.render_closures import _compile_function
-
-        G = module.__dict__
-        for fn in program.functions:
-            if fn.kind.endswith("_helper") and fn.name not in G:
-                G[fn.name] = _compile_function(fn, G)
-        return {name: _compile_function(fn, G)
-                for name, fn in functions.items()}
 
     def _compile_py(self, program, functions, module):
         """IR -> rendered source, exec'd into a *copy* of the module

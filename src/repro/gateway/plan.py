@@ -20,9 +20,8 @@ doubles in alignment) sends the whole channel to the fallback.
 
 **Decode/re-encode fallback.**  The ingress module's generated
 ``_u_req_*`` / ``_u_rep_*`` decoders feed the egress module's
-``_m_req_*`` / ``_m_rep_*`` encoders (closures renderer), preserving
-full hardening on the decode side and exact egress bytes on the encode
-side.
+``_m_req_*`` / ``_m_rep_*`` encoders, preserving full hardening on the
+decode side and exact egress bytes on the encode side.
 
 Fusion also requires both formats big-endian and the runtime body
 offset congruent to 0 mod 4 (a hostile unpadded GIOP principal can
@@ -241,7 +240,7 @@ class OpPlan:
     #: reply discriminator word -> copy segments (0 = success arm,
     #: n = the nth user exception); absent arms fall back.
     reply_segments: Dict[int, List] = field(default_factory=dict)
-    u_req: object = None          # ingress request decode (closures)
+    u_req: object = None          # ingress request decode
     m_req: object = None          # egress request encode
     check_reply: object = None    # egress reply-header validator
     u_rep: object = None          # egress reply decode
@@ -272,37 +271,6 @@ class BridgePlan:
     def fused_reply_ops(self):
         return sorted(p.name for p in self.ops.values()
                       if 0 in p.reply_segments)
-
-    def rebind(self, op=None):
-        """Refresh early-bound codec references from the live modules.
-
-        The proxy binds each operation's codecs once at plan-build time
-        so serving never pays per-request attribute loads — which means
-        a runtime tier swap (the tiering engine replacing module
-        entries) would otherwise be invisible here.  Tiering engines
-        call this from their swap callback; *op* limits the refresh to
-        one operation (None refreshes every plan).
-        """
-        for plan in self.ops.values():
-            if op is not None and plan.name != op:
-                continue
-            name = plan.name
-            plan.u_req = getattr(
-                self.ingress_module, "_u_req_%s" % name, plan.u_req)
-            plan.m_req = getattr(
-                self.egress_module, "_m_req_%s" % name, plan.m_req)
-            if plan.oneway:
-                continue
-            plan.u_rep = getattr(
-                self.egress_module, "_u_rep_%s" % name, plan.u_rep)
-            plan.m_rep_ok = getattr(
-                self.ingress_module, "_m_rep_ok_%s" % name,
-                plan.m_rep_ok)
-            plan.exceptions = {
-                key: getattr(self.ingress_module,
-                             getattr(encoder, "__name__", ""), encoder)
-                for key, encoder in plan.exceptions.items()
-            }
 
     def summary(self):
         """One line per operation for logs and the CLI."""
@@ -338,8 +306,7 @@ def build_plan(ingress_result, egress_result, *, fuse=True):
 
     Both are :class:`repro.api.CompileResult`-likes for the same (or
     compatible) schema, compiled for servable backends.  Modules are
-    loaded here; compile with ``renderer="closures"`` for the fast
-    fallback codecs.
+    loaded here.
     """
     ingress_backend = make_backend(ingress_result.stubs.backend_name)
     egress_backend = make_backend(egress_result.stubs.backend_name)

@@ -1,14 +1,15 @@
-"""repro.mir — the explicit marshal IR (typed ops, passes, renderers).
+"""repro.mir — the explicit marshal IR (typed ops, passes, renderer).
 
 Pipeline::
 
     PRES_C --build_program--> MirProgram --PassManager--> MirProgram
-           --render_py / render_closures / render_c--> stubs
+           --render_py--> Python stubs
 
 :mod:`repro.mir.ops` defines the op vocabulary, :mod:`repro.mir.build`
 walks PRES_C once to produce a :class:`~repro.mir.ops.MirProgram`,
-:mod:`repro.mir.passes` runs the section-3 optimizations, and the
-renderer modules consume the optimized IR.
+:mod:`repro.mir.passes` runs the section-3 optimizations, and
+:mod:`repro.mir.render_py` renders the optimized IR as Python source.
+C stubs come from :mod:`repro.backend.cemit`.
 """
 
 from repro.mir.ops import MirFunction, MirProgram, mangle  # noqa: F401

@@ -18,8 +18,8 @@ by the pass configuration:
 * ``inline_marshal`` — aggregate code is expanded in place; only
   recursive types produce :class:`~repro.mir.ops.CallOutOfLine`.
 
-Value positions are Python expression strings; renderers either paste
-them (source renderer) or compile them once (closure renderer).
+Value positions are Python expression strings; the renderer pastes
+them.
 """
 
 from __future__ import annotations
@@ -434,7 +434,9 @@ class MarshalLower(_LowerBase):
             data_expr = stage
         header = self.fmt.array_header_size(mint_array)
         pad_to4 = self.fmt.pads_byte_runs(mint_array)
-        header_align = self.fmt.array_header_alignment(mint_array)
+        # Bytes need no alignment; only a header aligns the run.
+        header_align = (self.fmt.array_header_alignment(mint_array)
+                        if header else 1)
         header_pack = self._header_pack(mint_array, n_expr)
         if static_count is not None and not nul:
             total = header + static_count
@@ -524,13 +526,14 @@ class MarshalLower(_LowerBase):
             )
             if not self.flags.chunk_atoms or not self.flags.batch_buffer_checks:
                 self.flush()
+            self._pad_array_end(pres.mint, codec.size * pres.length)
             return
         if codec is not None and pres.length <= UNROLL_LIMIT and header == 0:
             for index in range(pres.length):
                 self.add_atom(codec, "%s[%d]" % (expr, index))
             return
         self._emit_array_header(pres.mint, str(pres.length))
-        self._emit_element_loop(pres.element, expr)
+        self._emit_element_loop(pres.mint, pres.element, expr)
 
     def _emit_counted_array(self, pres, expr):
         self.flush()
@@ -544,9 +547,10 @@ class MarshalLower(_LowerBase):
         codec = self._atom_element_codec(pres.element)
         if codec is not None and self.flags.memcpy_arrays:
             self._emit_batched_array(pres.mint, codec, expr, n)
+            self._pad_array_end(pres.mint, codec.size)
             return
         self._emit_array_header(pres.mint, n)
-        self._emit_element_loop(pres.element, expr)
+        self._emit_element_loop(pres.mint, pres.element, expr)
 
     def _emit_batched_array(self, mint_array, codec, expr, n_expr):
         """Variable atomic array as one header + one array-wide pack."""
@@ -583,7 +587,9 @@ class MarshalLower(_LowerBase):
             ))
         else:
             # Element alignment exceeds the header's (e.g. CDR doubles):
-            # two reservations with dynamic alignment between.
+            # two reservations, the elements' aligned dynamically when
+            # there are any.  An empty array ends at the header's
+            # alignment.
             plan = self.reserve_dynamic(str(header), header_align)
             self.static_offset = None
             self.align_guarantee = header_align
@@ -596,23 +602,43 @@ class MarshalLower(_LowerBase):
                 reserve=plan, header=header_pack, position=header,
                 split_reserve=split,
             ))
+            self.align_guarantee = max(header_align,
+                                       self.fmt.universal_alignment)
+            return
         self.static_offset = None
         self.align_guarantee = max(
             m.largest_pow2_divisor(codec.size, 8),
             self.fmt.universal_alignment,
         )
 
-    def _emit_element_loop(self, element_pres, expr):
+    def _emit_element_loop(self, mint_array, element_pres, expr):
         self.flush()
         element = self.temp("_e")
         self.push_body()
         self.enter_unknown()
         self.emit(element_pres, element)
         self.flush()
+        ends_aligned = self.align_guarantee
         body = self.pop_body()
         self.add(m.Loop(kind="elements", body=body, var=element,
                         iterable=expr))
         self.enter_unknown()
+        self._pad_array_end(mint_array, ends_aligned)
+
+    def _pad_array_end(self, mint_array, span):
+        """Pad to a 4-byte boundary after an array's elements where the
+        format pads in-line arrays (Mach typed messages).  *span* is the
+        elements' byte size, or the alignment their end is known to
+        have; a multiple of 4 needs no pad.  The next item's alignment
+        would not do: nothing may follow."""
+        if span % 4 == 0 or not self.fmt.pads_byte_runs(mint_array):
+            return
+        self.flush()
+        self.add(m.PadToFour(self.temp("_p"), self.temp("_o")))
+        if self.static_offset is not None:
+            self.static_offset += -self.static_offset % 4
+        else:
+            self.align_guarantee = 4
 
     # -- optional / union ------------------------------------------------
 
@@ -948,6 +974,7 @@ class UnmarshalLower(_LowerBase):
             ))
         if codec is not None and self.flags.memcpy_arrays:
             slice_expr = self.read_atom(codec, count=pres.length, star=True)
+            self._skip_array_pad(pres.mint, codec.size * pres.length)
             return self._convert_atom_slice(codec, slice_expr)
         if codec is not None and pres.length <= UNROLL_LIMIT and count is None:
             elements = [
@@ -955,7 +982,8 @@ class UnmarshalLower(_LowerBase):
                 for _ in range(pres.length)
             ]
             return "[%s]" % ", ".join(elements)
-        return self._emit_element_loop(pres.element, str(pres.length))
+        return self._emit_element_loop(pres.mint, pres.element,
+                                       str(pres.length))
 
     def _convert_atom_slice(self, codec, slice_expr):
         if codec.conversion == "char":
@@ -975,7 +1003,7 @@ class UnmarshalLower(_LowerBase):
             ))
         codec, _element = self._atom_element_codec(pres.element)
         if codec is not None and self.flags.memcpy_arrays:
-            self._align_for(codec.alignment)
+            start = self._align_elements(count, codec.alignment)
             self._check_remaining("%s * %d" % (count, codec.size))
             var = self.temp("_v")
             self.add(m.GetAtomArray(
@@ -985,18 +1013,38 @@ class UnmarshalLower(_LowerBase):
             ))
             self.static_offset = None
             self.align_guarantee = max(
-                m.largest_pow2_divisor(codec.size, 8),
+                min(m.largest_pow2_divisor(codec.size, 8), start),
                 self.fmt.universal_alignment,
             )
+            self._skip_array_pad(pres.mint, codec.size)
             return var
         # Every element consumes at least one byte, so a declared count
         # beyond the remaining bytes can never decode: reject it before
         # looping (a forged count would otherwise spin building millions
         # of elements out of nothing before failing).
         self._check_remaining(count)
-        return self._emit_element_loop(pres.element, count)
+        return self._emit_element_loop(pres.mint, pres.element, count)
 
-    def _emit_element_loop(self, element_pres, count_expr):
+    def _align_elements(self, count, align):
+        """Align for an array's first element, when it has one: no
+        padding precedes an element that is not there.  Returns the
+        alignment guaranteed where the elements start (or would)."""
+        if self.static_offset is not None:
+            if not -self.static_offset % align:
+                return m.largest_pow2_divisor(self.static_offset, 8)
+            before = m.largest_pow2_divisor(self.static_offset, 8)
+        elif self.align_guarantee >= align:
+            return self.align_guarantee
+        else:
+            before = self.align_guarantee
+        self.push_body()
+        self.add(m.AlignTo(mode="dynamic", align=align))
+        self.add(m.Branch(arms=[m.BranchArm(count, self.pop_body())]))
+        self.static_offset = None
+        self.align_guarantee = before
+        return before
+
+    def _emit_element_loop(self, mint_array, element_pres, count_expr):
         self.flush()
         var = self.temp("_v")
         self.add(m.Bind(var, "[]"))
@@ -1006,11 +1054,20 @@ class UnmarshalLower(_LowerBase):
         self.enter_unknown()
         element_expr = self.emit(element_pres)
         self.flush()
+        ends_aligned = self.align_guarantee
         self.add(m.ExprStmt("%s(%s)" % (append, element_expr)))
         body = self.pop_body()
         self.add(m.Loop(kind="range", body=body, count_expr=count_expr))
         self.enter_unknown()
+        self._skip_array_pad(mint_array, ends_aligned)
         return var
+
+    def _skip_array_pad(self, mint_array, span):
+        """The decode side of :meth:`MarshalLower._pad_array_end`."""
+        if span % 4 == 0 or not self.fmt.pads_byte_runs(mint_array):
+            return
+        self.flush()
+        self._align_for(4)
 
     # -- optional / union -------------------------------------------------
 

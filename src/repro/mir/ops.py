@@ -1,6 +1,6 @@
 """MIR: the explicit marshal intermediate representation.
 
-This module defines the typed op vocabulary shared by every renderer.
+This module defines the typed op vocabulary the renderer consumes.
 A stub's marshal/unmarshal behaviour is described twice:
 
 * as **naive type IR** (:class:`TypeNode` trees built by
@@ -9,13 +9,13 @@ A stub's marshal/unmarshal behaviour is described twice:
 * as **lowered op sequences** (:class:`MirFunction` bodies produced by
   the pass pipeline in :mod:`repro.mir.passes`) — straight-line typed
   ops with struct formats and constant offsets already decided, which
-  the Python-source renderer, the closure renderer, and the C renderer
-  consume without re-running any optimization logic.
+  the Python-source renderer consumes without re-running any
+  optimization logic.
 
 Value positions in lowered ops are Python expression strings whose free
 names are the function's parameters plus variables bound by earlier ops
-(the renderer contract, INTERNALS section 10).  The closure renderer
-compiles these expressions once per op; the source renderer pastes them.
+(the renderer contract, INTERNALS section 10); the renderer pastes
+them verbatim.
 """
 
 from __future__ import annotations
@@ -49,8 +49,8 @@ def mangle(name):
 class TypeNode:
     """Base class for naive marshal-IR type nodes."""
 
-    #: The PRES node this was built from (renderers that need
-    #: presentation detail — the C renderer — reach through this).
+    #: The PRES node this was built from (consumers that need
+    #: presentation detail reach through this).
     pres: object = field(default=None, repr=False)
 
 
@@ -318,8 +318,10 @@ class PutAtomArray(Op):
     """A counted atomic array as one header plus one array-wide pack.
 
     variant ``joint``: header and elements in one reservation.
-    variant ``split``: element alignment exceeds the header's; two
-    reservations with dynamic alignment between (e.g. CDR doubles).
+    variant ``split``: element alignment exceeds the header's; the
+    header, then — for a non-empty array only, since no padding
+    precedes an element that is not there — the elements in a second,
+    dynamically aligned reservation (e.g. CDR doubles).
     variant ``staged``: MIG typed-message staging — pack into a staging
     bytearray, then copy it after the header (one extra pass).
     """

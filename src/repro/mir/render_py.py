@@ -6,9 +6,18 @@ lowering and the pass pipeline; here each op maps to a fixed line
 pattern.  Value positions are pasted verbatim — they are already valid
 Python expressions over the function's parameters and earlier-bound
 variables (the renderer contract, INTERNALS section 10).
+
+One shape gets more than a line pattern: a constant-stride element loop
+(structure arrays, Figure 3's ``rects``).  Its elements land in
+consecutive fixed-size slots, so it gets one free-space check for the
+whole array (section 3.1), folded into the reservation of the chunk
+just before it, and each element is packed at its own offset by a
+precompiled ``Struct``.
 """
 
 from __future__ import annotations
+
+from dataclasses import replace
 
 from repro.errors import BackEndError
 from repro.mir import ops as m
@@ -16,6 +25,12 @@ from repro.mir import ops as m
 
 def render_program(w, program):
     """Render every function (with its constants) of *program*."""
+    packers = sorted({_packer(op) for fn in program.functions
+                      for op in m.walk_ops(fn.ops) if _fused_stride(op)})
+    if packers:
+        w.line("from struct import Struct as _Struct")
+    for name, fmt in packers:
+        w.line("%s = _Struct(%r).pack_into" % (name, fmt))
     for fn in program.functions:
         for const_name, template in fn.consts.items():
             w.line("%s = %r" % (const_name, template))
@@ -34,8 +49,26 @@ def render_function(w, fn):
 
 
 def _render_ops(w, ops):
-    for op in ops:
-        _RENDERERS[type(op)](w, op)
+    ops = list(ops)
+    index = 0
+    while index < len(ops):
+        op = ops[index]
+        following = ops[index + 1] if index + 1 < len(ops) else None
+        if _is_plain_put(op) and _fused_stride(following):
+            # The element run directly follows this chunk: one
+            # reservation covers both.
+            size = op.reserve.size
+            _render_put_atoms(w, replace(op, reserve=replace(
+                op.reserve, size="%d + %s" % (size, _run_size(following)))))
+            _render_fused_loop(w, following,
+                               "%s + %d" % (op.reserve.var, size))
+            index += 2
+            continue
+        if _fused_stride(op):
+            _render_fused_loop(w, op, None)
+        else:
+            _RENDER_FOR[type(op)](w, op)
+        index += 1
 
 
 # ----------------------------------------------------------------------
@@ -208,6 +241,8 @@ def _render_put_atom_array(w, op):
         w.line("_pack_into(%r, b.data, %s, %s)"
                % (fmt, op.reserve.var, ", ".join(args)))
     if op.variant == "split":
+        w.line("if %s:" % op.n_expr)
+        w.indent()
         _render_reserve(w, op.split_reserve)
         at = op.split_reserve.var
     else:
@@ -215,6 +250,8 @@ def _render_put_atom_array(w, op):
               if op.position else op.reserve.var)
     w.line("_pack_into('%s%%d%s' %% %s, b.data, %s, *%s)"
            % (op.endian, op.fmt, op.n_expr, at, op.data_expr))
+    if op.variant == "split":
+        w.dedent()
 
 
 def _render_get_atom_array(w, op):
@@ -315,6 +352,61 @@ def _render_loop(w, op):
     w.dedent()
 
 
+def _is_plain_put(op):
+    return (isinstance(op, m.PutAtoms) and op.reserve.kind == "plain"
+            and isinstance(op.reserve.size, int))
+
+
+def _fused_stride(op):
+    """The element stride when *op* is a constant-stride marshal loop.
+
+    That is an ``elements`` loop whose body is Binds feeding one
+    batched chunk that reserves exactly its own size (structure arrays:
+    the paper's Figure 3 ``rects``).  Consecutive elements then occupy
+    consecutive *stride*-byte slots, so the whole array takes one
+    free-space check (section 3.1) instead of one per element.  Returns
+    None for any other loop.
+    """
+    if not isinstance(op, m.Loop) or op.kind != "elements" or not op.body:
+        return None
+    *binds, atoms = op.body
+    if (not _is_plain_put(atoms) or not atoms.batched
+            or atoms.reserve.size != atoms.total
+            or not all(isinstance(bind, m.Bind) for bind in binds)):
+        return None
+    return atoms.total
+
+
+def _run_size(loop):
+    return "len(%s) * %d" % (loop.iterable, _fused_stride(loop))
+
+
+def _packer(loop):
+    """``(name, format)`` of the precompiled packer a fused loop calls."""
+    fmt = loop.body[-1].endian + loop.body[-1].fmt
+    return "_pk_" + fmt.replace(">", "b").replace("<", "l"), fmt
+
+
+def _render_fused_loop(w, op, start):
+    """One reservation for the whole array (unless *start* says it was
+    folded into the preceding chunk's), ``b.data`` hoisted, and each
+    element packed at its own offset."""
+    *binds, atoms = op.body
+    var = atoms.reserve.var
+    if start is None:
+        w.line("%s = b.reserve(%s)" % (var, _run_size(op)))
+        start = var
+    w.line("_bd = b.data")
+    w.line("for %s, %s in zip(range(%s, b.length, %d), %s):"
+           % (var, op.var, start, atoms.total, op.iterable))
+    w.indent()
+    _render_ops(w, binds)
+    w.line("%s(_bd, %s, %s)"
+           % (_packer(op)[0], var,
+              ", ".join(_pack_arg(entry) for entry in atoms.entries)))
+    w.dedent()
+
+
 def _render_list_loop(w, op):
     if op.kind == "m":
         w.line("while 1:")
@@ -395,7 +487,7 @@ def _render_reply_error_tail(w, op):
     _render_ops(w, op.ops)
 
 
-_RENDERERS = {
+_RENDER_FOR = {
     m.PutHeader: _render_put_header,
     m.HeaderPatch: _render_header_patch,
     m.PutAtoms: _render_put_atoms,

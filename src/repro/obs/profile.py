@@ -1,8 +1,8 @@
 """The payload-shape profiler: what do the messages actually look like?
 
-Flick specializes marshal code to the *schema*; the adaptive items on
-the roadmap (tiered execution, gateway fusion planning) need to
-specialize to the observed *workload*.  This module records, per
+Flick specializes marshal code to the *schema*; gateway fusion planning
+and capacity decisions need to know the observed *workload*.  This
+module records, per
 operation and direction (``request``/``reply``):
 
 * message-size histograms (bytes on the wire per codec call),
@@ -968,258 +968,3 @@ def instrument_stub_module(module):
     if _profiler is not None:
         record.activate(_profiler)
     return module
-
-
-# ----------------------------------------------------------------------
-# Hotness: always-on cheap per-op counters for tiered execution
-# ----------------------------------------------------------------------
-
-#: Every N-th hotness-counted call is also timed, feeding the per-tier
-#: throughput window the tiering engine's regression guard compares.
-TIER_TIMED_EVERY = 16
-
-#: The codec entries hotness wraps — the server-side hot path.  An op
-#: whose module has neither (a no-argument oneway) never accrues
-#: hotness and therefore never tiers; there is nothing to win there.
-HOT_PREFIXES = (("_u_req_", "u_req"), ("_m_rep_ok_", "m_rep"))
-
-
-class TierWindow:
-    """Seconds/bytes accumulated on one tier since the last reset."""
-
-    __slots__ = ("seconds", "bytes", "samples")
-
-    def __init__(self):
-        self.seconds = 0.0
-        self.bytes = 0
-        self.samples = 0
-
-    def seconds_per_byte(self):
-        """Observed marshal cost, or None before any timed bytes."""
-        if not self.bytes:
-            return None
-        return self.seconds / self.bytes
-
-
-class OpHotness:
-    """Always-on counters for one operation.
-
-    Distinct from the sampled :class:`OpProfile` histograms: hotness
-    pays two integer adds and one modulo on *every* call (no sampling
-    gate, no histograms, no probing), so it can stay on in production
-    servers that never enable the profiler.  ``score`` is the
-    calls-times-bytes hotness the tiering threshold trips on:
-    accumulated payload bytes plus one per call, so byte-heavy ops get
-    hot fast and chatty zero-payload ops still register.
-    """
-
-    __slots__ = ("op", "calls", "bytes", "window")
-
-    def __init__(self, op):
-        self.op = op
-        self.calls = 0
-        self.bytes = 0
-        self.window = TierWindow()
-
-    @property
-    def score(self):
-        return self.calls + self.bytes
-
-    def reset_window(self):
-        """Start a fresh timing window (called at each tier change)."""
-        self.window = TierWindow()
-
-
-class HotnessCounter:
-    """Installs hotness wrappers over one stub module's hot codecs.
-
-    Wraps ``_u_req_<op>`` (request decode) and ``_m_rep_ok_<op>``
-    (success-reply encode) — the two codecs every served request runs.
-    :meth:`wrap` is idempotent and re-wraps whatever the module
-    currently binds, so the tiering engine calls it again after each
-    codec swap and the counters keep running on the new tier.
-    """
-
-    def __init__(self, module):
-        self.module = module
-        self.ops = {}
-
-    def hotness(self, op):
-        found = self.ops.get(op)
-        if found is None:
-            found = self.ops[op] = OpHotness(op)
-        return found
-
-    def wrap(self, op):
-        """(Re-)wrap *op*'s current hot-path bindings; returns the
-        number of entries wrapped."""
-        wrapped = 0
-        G = self.module.__dict__
-        for prefix, form in HOT_PREFIXES:
-            name = prefix + op
-            inner = G.get(name)
-            if inner is None or getattr(inner, "__flick_hotness__",
-                                        False):
-                continue
-            wrapper = self._make_wrapper(self.hotness(op), form, inner)
-            wrapper.__flick_hotness__ = True
-            wrapper.__wrapped__ = inner
-            wrapper.__name__ = getattr(inner, "__name__", name)
-            G[name] = wrapper
-            wrapped += 1
-        return wrapped
-
-    def install(self, ops):
-        """Wrap every op in *ops*; returns the ops actually wrapped."""
-        return [op for op in ops if self.wrap(op)]
-
-    def unwrap(self, op):
-        """Restore *op*'s original bindings (testing/teardown)."""
-        G = self.module.__dict__
-        for prefix, _form in HOT_PREFIXES:
-            name = prefix + op
-            current = G.get(name)
-            if getattr(current, "__flick_hotness__", False):
-                G[name] = current.__wrapped__
-
-    @staticmethod
-    def _make_wrapper(hot, form, inner):
-        perf_counter = time.perf_counter
-        timed_every = TIER_TIMED_EVERY
-
-        if form == "m_rep":
-
-            def wrapper(b, _ctx, *args):
-                hot.calls += 1
-                before = b.length
-                if hot.calls % timed_every:
-                    result = inner(b, _ctx, *args)
-                    hot.bytes += b.length - before
-                    return result
-                start = perf_counter()
-                result = inner(b, _ctx, *args)
-                elapsed = perf_counter() - start
-                grew = b.length - before
-                hot.bytes += grew
-                window = hot.window
-                window.seconds += elapsed
-                window.bytes += grew
-                window.samples += 1
-                return result
-
-        else:  # u_req
-
-            def wrapper(d, o):
-                hot.calls += 1
-                if hot.calls % timed_every:
-                    args, end = inner(d, o)
-                    hot.bytes += end - o
-                    return args, end
-                start = perf_counter()
-                args, end = inner(d, o)
-                elapsed = perf_counter() - start
-                grew = end - o
-                hot.bytes += grew
-                window = hot.window
-                window.seconds += elapsed
-                window.bytes += grew
-                window.samples += 1
-                return args, end
-
-        return wrapper
-
-
-# ----------------------------------------------------------------------
-# Renderer hint: the cost model
-# ----------------------------------------------------------------------
-
-#: Relative cost coefficients, calibrated against BENCH_renderer.json.
-#: The closures renderer compiles fixed-layout runs straight to bulk
-#: ``struct`` packing — cheap per byte (it wins ~2.5x on large atom
-#: arrays) — but pays a Python-level closure dispatch for every
-#: variable-length field, where the py renderer's inlined source wins
-#: ~2.6x (dirents: 46 vs 120 MB/s).  Same structural facts the MIR
-#: chunk-coalescing pass exploits: fixed runs batch, variable fields
-#: break the run.
-COST = {
-    "py": {"fixed_byte": 2.5, "var_field": 50.0, "var_byte": 1.0},
-    "closures": {"fixed_byte": 1.0, "var_field": 1000.0, "var_byte": 1.0},
-}
-
-
-def renderer_hint(profiles):
-    """Which renderer fits this op's observed payloads?
-
-    *profiles* is an iterable of :class:`OpProfile` (typically the
-    request and reply profiles of one op).  Returns ``(renderer,
-    reason, scores)`` where *scores* maps renderer name to modeled
-    relative cost per message.
-
-    When a snapshot field the model reads is empty — no message-size
-    histogram, or no channel-length histograms (shape probing off, or
-    an operator-supplied snapshot missing them) — the reason says so
-    explicitly instead of silently scoring on defaults, so ``flick
-    top``/``flick profile`` never present a default-driven hint as a
-    measured one.
-    """
-    profiles = list(profiles)
-    sampled = 0
-    total_bytes = 0
-    var_fields = 0.0
-    var_bytes = 0
-    have_sizes = False
-    have_channels = False
-    for profile in profiles:
-        if not profile.sampled:
-            continue
-        sampled += profile.sampled
-        total_bytes += profile.size.sum
-        if profile.size.total:
-            have_sizes = True
-        if profile.channels:
-            have_channels = True
-        for hist in profile.channels.values():
-            if hist.kind in ("str", "bytes"):
-                var_fields += hist.total
-                var_bytes += hist.sum
-    if not sampled:
-        return "py", "no samples observed; keeping the default", {}
-    empty_fields = []
-    if not have_sizes:
-        empty_fields.append("message-size histogram")
-    if not have_channels:
-        empty_fields.append("channel-length histograms")
-    per_message_bytes = total_bytes / sampled
-    per_message_var_fields = var_fields / sampled
-    per_message_var_bytes = var_bytes / sampled
-    fixed_bytes = max(
-        0.0, per_message_bytes - per_message_var_bytes
-        - 4.0 * per_message_var_fields  # length prefixes
-    )
-    scores = {}
-    for renderer, coeff in COST.items():
-        scores[renderer] = (
-            coeff["fixed_byte"] * fixed_bytes
-            + coeff["var_field"] * per_message_var_fields
-            + coeff["var_byte"] * per_message_var_bytes
-        )
-    winner = min(scores, key=lambda r: (scores[r], r))
-    if winner == "closures":
-        reason = (
-            "fixed-layout bytes dominate (%.0f fixed vs %.0f"
-            " string/bytes per message); bulk struct packing wins"
-            % (fixed_bytes, per_message_var_bytes)
-        )
-    else:
-        reason = (
-            "variable-length fields dominate (%.1f per message,"
-            " %.0f bytes); inlined source beats closure dispatch"
-            % (per_message_var_fields, per_message_var_bytes)
-        )
-    if empty_fields:
-        reason += (
-            " — caution: this snapshot has no %s, so those model"
-            " inputs are zero, not measured"
-            % " and no ".join(empty_fields)
-        )
-    return winner, reason, scores

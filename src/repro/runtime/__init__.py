@@ -34,8 +34,6 @@ from repro.runtime.aio import (
     ServeOptions,
     ServerStats,
 )
-from repro.runtime.tiering import TieringEngine, TierPolicy, \
-    resolve_policy
 
 __all__ = [
     "AioClientTransport",
@@ -61,10 +59,7 @@ __all__ = [
     "StubServer",
     "TcpClientTransport",
     "TcpServer",
-    "TierPolicy",
-    "TieringEngine",
     "Transport",
     "UdpClientTransport",
     "UdpServer",
-    "resolve_policy",
 ]

@@ -48,11 +48,6 @@ class WorkerConfig:
         upstream_host, upstream_port, upstream_backend,
         upstream_idl_path, pool_size, fuse: gateway-kind settings
             mirroring ``flick gateway``.
-        tiering: profile-guided tiered execution, as for ``flick serve
-            --tiering``: ``"off"``, ``"auto"``, or a TierPolicy JSON
-            file path.  Each worker runs its own engine; its tier
-            metrics carry the worker's slot as the ``worker`` label so
-            the supervisor's summed /metrics keeps them distinct.
     """
 
     kind: str = "serve"
@@ -81,7 +76,6 @@ class WorkerConfig:
     upstream_idl_path: Optional[str] = None
     pool_size: int = 4
     fuse: bool = True
-    tiering: str = "off"
 
     def but(self, **changes):
         """A copy with *changes* applied (the template-to-slot step)."""

@@ -92,26 +92,6 @@ def open_listen_socket(config):
     return sock
 
 
-def _make_tiering(config, handle, stats):
-    """The worker's tiering engine for *handle*, or None when off.
-
-    The slot number becomes the ``worker`` metric label, so the
-    supervisor's merged /metrics keeps every worker's
-    ``flick_tier_current`` series distinct instead of summing them
-    into nonsense.
-    """
-    from repro.runtime.tiering import TieringEngine, resolve_policy
-
-    policy = resolve_policy(getattr(config, "tiering", "off"))
-    if policy is None:
-        return None
-    if getattr(handle.stubs, "backend_instance", None) is None:
-        return None
-    return TieringEngine(
-        handle, policy=policy, registry=stats.registry,
-        worker=str(config.slot))
-
-
 def build_server(config, listen_sock, stats):
     """The configured :class:`AioTcpServer` (serve) or gateway server."""
     from repro import obs
@@ -130,7 +110,6 @@ def build_server(config, listen_sock, stats):
         if config.profile_dir:
             obs.profile.configure(
                 sample=config.profile_sample, registry=stats.registry)
-        engine = _make_tiering(config, ingress, stats)
         return AioGatewayServer(
             plan, config.upstream_host, config.upstream_port,
             pool_size=config.pool_size, host=config.host,
@@ -139,7 +118,6 @@ def build_server(config, listen_sock, stats):
             max_pending=config.max_pending,
             drain_timeout=config.drain_timeout,
             listen_sock=listen_sock,
-            tiering=engine,
         )
     from repro.runtime import StubServer
 
@@ -152,9 +130,6 @@ def build_server(config, listen_sock, stats):
         obs.profile.configure(
             sample=config.profile_sample, registry=stats.registry)
         obs.profile.instrument_stub_module(stub_module)
-    # After the profiler: the engine's hotness wrappers must sit
-    # outermost so every call is counted.
-    engine = _make_tiering(config, result, stats)
     return StubServer(stub_module, impl).aio_server(
         config.host, config.port,
         max_concurrency=config.max_concurrency,
@@ -162,7 +137,6 @@ def build_server(config, listen_sock, stats):
         max_pending=config.max_pending,
         drain_timeout=config.drain_timeout,
         stats=stats, listen_sock=listen_sock,
-        tiering=engine,
     )
 
 
@@ -194,11 +168,6 @@ async def _control_loop(reader, writer, server, config, stats, state,
                 "in_flight": server.in_flight,
                 "draining": state["draining"],
             }
-            if server.tiering:
-                tiers = {}
-                for engine in server.tiering:
-                    tiers.update(engine.tier_summary())
-                reply["tiers"] = tiers
         elif cmd == "metrics":
             reply = {"ok": True,
                      "text": stats.registry.render_prometheus()}

@@ -238,17 +238,6 @@ def build_parser():
         help="serve for this many seconds, then exit (default: forever)",
     )
     serve_parser.add_argument(
-        "--tiering", default="off", metavar="auto|off|FILE",
-        help="profile-guided tiered execution: every op starts on the"
-             " compile-time renderer; a hotness counter promotes hot"
-             " ops to the renderer the cost model scores best for their"
-             " observed payloads, recompiled in the background,"
-             " byte-identity-verified on a shadow call, and reverted"
-             " when the recompile turns out slower; FILE loads a"
-             " TierPolicy JSON (threshold, hysteresis, revert_ratio,"
-             " ...)",
-    )
-    serve_parser.add_argument(
         "--workers", type=int, default=None, metavar="N",
         help="supervised multi-process mode: N worker processes share"
              " the listen address (SO_REUSEPORT accept sharding);"
@@ -424,12 +413,6 @@ def build_parser():
     gateway_parser.add_argument(
         "--duration", type=float, default=None,
         help="serve for this many seconds, then exit (default: forever)",
-    )
-    gateway_parser.add_argument(
-        "--tiering", default="off", metavar="auto|off|FILE",
-        help="profile-guided tiered execution for the ingress-side"
-             " codecs (decode requests / encode replies); see flick"
-             " serve --tiering",
     )
     gateway_parser.add_argument(
         "--workers", type=int, default=None, metavar="N",
@@ -807,13 +790,6 @@ def _compile_for_serving(args, text):
     return result
 
 
-def _resolve_tiering(args):
-    """The serve/gateway ``--tiering`` value as a TierPolicy (or None)."""
-    from repro.runtime.tiering import resolve_policy
-
-    return resolve_policy(getattr(args, "tiering", "off"))
-
-
 def _run_supervised(args, template, *, what, profile):
     """Run a worker fleet under the supervisor until shutdown."""
     from repro.runtime.signals import SignalDriver
@@ -879,15 +855,13 @@ def _command_serve_supervised(args):
     with open(args.input) as handle:
         text = handle.read()
     result = _compile_for_serving(args, text)  # fail fast, same checks
-    _resolve_tiering(args)  # fail fast on a bad --tiering FILE
     template = WorkerConfig(
         kind="serve", lang=args.frontend, pgen=args.pgen,
         backend=args.backend, interface=args.interface, impl=args.impl,
         host=args.host, port=args.port,
         max_concurrency=args.max_concurrency,
         dispatch_mode=args.dispatch_mode, max_pending=args.max_pending,
-        profile_sample=args.profile_sample, tiering=args.tiering,
-        sys_paths=[os.getcwd()],
+        profile_sample=args.profile_sample, sys_paths=[os.getcwd()],
     )
     return _run_supervised(
         args, template, what=result.stubs.interface_name,
@@ -935,20 +909,7 @@ def command_serve(args):
         from repro.faults import FaultPlan
 
         fault_plan = FaultPlan.load(options.fault_plan)
-    tiering_engine = None
-    tier_policy = _resolve_tiering(args)
-    if tier_policy is not None:
-        from repro.runtime.tiering import TieringEngine
-
-        # Created after the trace/profile wrappers above so the
-        # hotness wrappers sit outermost and count every call.
-        tiering_engine = TieringEngine(
-            result, policy=tier_policy,
-            registry=stats.registry if stats is not None else None,
-        )
     server_kwargs = {"stats": stats}
-    if tiering_engine is not None:
-        server_kwargs["tiering"] = tiering_engine
     if fault_plan is not None:
         server_kwargs["fault_plan"] = fault_plan
     if options.aio:
@@ -988,13 +949,6 @@ def command_serve(args):
                 print("profiling payload shapes to %s (1/%d sampling)"
                       % (args.profile, max(1, args.profile_sample)),
                       flush=True)
-            if tiering_engine is not None:
-                print(
-                    "tiered execution on (%s): hot ops recompile at"
-                    " score >= %d"
-                    % (args.tiering, tiering_engine.policy.threshold),
-                    flush=True,
-                )
             if fault_plan is not None:
                 print("fault plan active: %s" % options.fault_plan,
                       flush=True)
@@ -1215,7 +1169,6 @@ def _command_gateway_supervised(args, ingress_backend, listen_host,
             raise FlickError(
                 "%s is per-process; it is not supported with --workers"
                 % name)
-    _resolve_tiering(args)  # fail fast on a bad --tiering FILE
     template = WorkerConfig(
         kind="gateway", lang=args.lang, backend=ingress_backend,
         interface=args.interface, host=listen_host, port=listen_port,
@@ -1227,7 +1180,7 @@ def _command_gateway_supervised(args, ingress_backend, listen_host,
         upstream_idl_path=(
             upstream_path if upstream_path != args.input else None),
         pool_size=args.pool_size, fuse=not args.no_fuse,
-        tiering=args.tiering, sys_paths=[os.getcwd()],
+        sys_paths=[os.getcwd()],
     )
     return _run_supervised(
         args, template,
@@ -1296,7 +1249,6 @@ def command_gateway(args):
             fault_plan = FaultPlan.load(args.fault_plan)
         if args.upstream_fault_plan:
             upstream_fault_plan = FaultPlan.load(args.upstream_fault_plan)
-    tiering = _gateway_tiering(args, ingress, stats)
     server = AioGatewayServer(
         plan, upstream_host, upstream_port,
         pool_size=args.pool_size,
@@ -1304,7 +1256,6 @@ def command_gateway(args):
         host=listen_host, port=listen_port, stats=stats,
         max_concurrency=args.max_concurrency,
         max_pending=args.max_pending, fault_plan=fault_plan,
-        tiering=tiering,
     )
     metrics_server = None
     driver = SignalDriver().install()
@@ -1355,27 +1306,6 @@ def command_gateway(args):
     return 0
 
 
-def _gateway_tiering(args, ingress, stats):
-    """Tiering engines for a gateway: the ingress side only.
-
-    The gateway's hot ingress-side codecs (``_u_req_*`` request
-    decode, ``_m_rep_ok_*`` reply encode) are the ones the hotness
-    counter covers; the egress-side encode/decode pair stays on its
-    compile-time renderer.
-    """
-    policy = _resolve_tiering(args)
-    if policy is None:
-        return ()
-    if getattr(ingress.stubs, "backend_instance", None) is None:
-        return ()
-    from repro.runtime.tiering import TieringEngine
-
-    return (TieringEngine(
-        ingress, policy=policy,
-        registry=stats.registry if stats is not None else None,
-    ),)
-
-
 def _profile_summary(profile):
     """Derived, report-ready numbers for one OpProfile."""
     size = profile.size
@@ -1418,7 +1348,7 @@ def _profile_summary(profile):
     return summary
 
 
-def _profile_text(op, profiles, hint):
+def _profile_text(op, profiles):
     lines = ["%s:" % op]
     for profile in profiles:
         summary = _profile_summary(profile)
@@ -1448,19 +1378,13 @@ def _profile_text(op, profiles, hint):
                 "    slow exemplar: %.3f ms, %d bytes, trace=%s"
                 % (1e3 * exemplar["duration_s"], exemplar.get("bytes", 0),
                    exemplar.get("trace_id")))
-    renderer, reason, _scores = hint
-    lines.append("  renderer hint: %s (%s)" % (renderer, reason))
     return "\n".join(lines)
 
 
 def command_profile(args):
     import json
 
-    from repro.obs.profile import (
-        ProfileSnapshot,
-        SNAPSHOT_VERSION,
-        renderer_hint,
-    )
+    from repro.obs.profile import ProfileSnapshot, SNAPSHOT_VERSION
 
     try:
         snapshot = ProfileSnapshot.load(args.snapshots[0])
@@ -1483,7 +1407,6 @@ def command_profile(args):
         }
         for op in names:
             profiles = snapshot.for_op(op)
-            renderer, reason, scores = renderer_hint(profiles)
             document["ops"][op] = {
                 "directions": {
                     profile.direction: profile.to_json()
@@ -1493,12 +1416,6 @@ def command_profile(args):
                     profile.direction: _profile_summary(profile)
                     for profile in profiles
                 },
-                "renderer_hint": {
-                    "renderer": renderer,
-                    "reason": reason,
-                    "scores": {name: round(score, 2)
-                               for name, score in scores.items()},
-                },
             }
         print(json.dumps(document, indent=2, sort_keys=True))
         return 0
@@ -1506,8 +1423,7 @@ def command_profile(args):
           % (snapshot.sample, len(args.snapshots),
              "" if len(args.snapshots) == 1 else "s"))
     for op in names:
-        profiles = snapshot.for_op(op)
-        print(_profile_text(op, profiles, renderer_hint(profiles)))
+        print(_profile_text(op, snapshot.for_op(op)))
     return 0
 
 
@@ -1543,7 +1459,6 @@ def _top_rows(samples):
         return rows.setdefault(op, {
             "requests": 0.0, "errors": 0.0, "bytes": 0.0,
             "buckets": [], "fused": 0.0, "transcoded": 0.0,
-            "tier_hot": 0, "tier_series": 0,
         })
 
     for labels, value in samples.get(
@@ -1576,24 +1491,14 @@ def _top_rows(samples):
         entry["transcoded"] += value
         if labeldict.get("path") == "fused":
             entry["fused"] += value
-    # flick_tier_current is one gauge series per (op, worker): count
-    # how many of the op's workers run the recompiled tier.
-    for labels, value in samples.get(
-            "flick_tier_current", {}).items():
-        labeldict = dict(labels)
-        entry = row(labeldict.get("op", "?"))
-        entry["tier_series"] += 1
-        if value >= 1:
-            entry["tier_hot"] += 1
     return rows
 
 
 def _top_table(rows, previous=None, interval=None):
-    header = ("%-20s %10s %8s %9s %9s %10s %7s %6s"
+    header = ("%-20s %10s %8s %9s %9s %10s %7s"
               % ("op", "requests" if previous is None else "req/s",
                  "errors", "p50 ms", "p99 ms",
-                 "bytes" if previous is None else "bytes/s", "fused",
-                 "tier"))
+                 "bytes" if previous is None else "bytes/s", "fused"))
     lines = [header, "-" * len(header)]
     ranked = sorted(rows.items(),
                     key=lambda item: -item[1]["requests"])
@@ -1606,19 +1511,12 @@ def _top_table(rows, previous=None, interval=None):
             nbytes = (nbytes - before["bytes"]) / interval
         fused = ("%.0f%%" % (100.0 * stats["fused"] / stats["transcoded"])
                  if stats["transcoded"] else "-")
-        series = stats.get("tier_series", 0)
-        if not series:
-            tier = "-"
-        elif series == 1:
-            tier = str(stats["tier_hot"])
-        else:  # several workers: how many run the recompiled tier
-            tier = "%d/%d" % (stats["tier_hot"], series)
         lines.append(
-            "%-20s %10.1f %8d %9.2f %9.2f %10s %7s %6s"
+            "%-20s %10.1f %8d %9.2f %9.2f %10s %7s"
             % (op, requests, stats["errors"],
                1e3 * _bucket_percentile(stats["buckets"], 50),
                1e3 * _bucket_percentile(stats["buckets"], 99),
-               _human_bytes(nbytes), fused, tier))
+               _human_bytes(nbytes), fused))
     return "\n".join(lines)
 
 

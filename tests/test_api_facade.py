@@ -4,7 +4,9 @@ Covers the API-redesign satellites: ``repro.api`` language
 auto-detection, the deprecated per-frontend entry points, the aligned
 runtime constructor keywords (old spellings warn but keep working), the
 content-hashed stub module names that let two versions of one interface
-load side by side, and the ``flick diff`` / ``flick lint`` exit codes.
+load side by side, the ``CompiledInterface`` handle (live codec table,
+per-op recompile with atomic install), and the ``flick diff`` /
+``flick lint`` exit codes.
 """
 
 import json
@@ -12,8 +14,11 @@ import socket
 
 import pytest
 
-from repro import api
+from repro import Flick, OptFlags, api
+from repro.core.handle import CompiledInterface, codec_form
+from repro.errors import FlickError, TransportError
 from repro.faults import FaultPlan
+from repro.runtime import StubServer
 from repro.runtime.aio.client import ConnectionPool
 from repro.runtime.socket_transport import (
     TcpClientTransport,
@@ -22,6 +27,8 @@ from repro.runtime.socket_transport import (
     UdpServer,
 )
 from repro.tools.cli import main
+
+from tests.conftest import DB_IDL
 
 CORBA = "interface Mail { void send(in string<64> msg); };\n"
 ONC = "program P { version V { int f(int) = 1; } = 1; } = 0x20000042;\n"
@@ -256,3 +263,132 @@ class TestCliExitCodes:
         payload = json.loads(capsys.readouterr().out)
         assert payload["findings"] == []
         assert payload["file"].endswith("a.idl")
+
+
+# ----------------------------------------------------------------------
+# The CompiledInterface handle
+# ----------------------------------------------------------------------
+
+class DbImpl:
+    def lookup(self, name):
+        return (0, None)
+
+    def store(self, e):
+        return 1
+
+    def echo(self, data):
+        return bytes(data)
+
+    def rev(self, xs):
+        return list(xs)[::-1]
+
+
+def fresh_db():
+    """A fresh compile per test: recompiles mutate the module dict, so
+    the cached conftest compilations must never be used here."""
+    return Flick(frontend="oncrpc").compile(DB_IDL)
+
+
+def capture_requests(module, calls):
+    """Raw request frames the module's client puts on the wire."""
+
+    class Capture:
+        last = None
+
+        def call(self, request):
+            self.last = bytes(request)
+            raise TransportError("captured")
+
+        def send(self, request):
+            self.last = bytes(request)
+
+        def close(self):
+            pass
+
+    transport = Capture()
+    client_class = next(getattr(module, name) for name in dir(module)
+                        if name.endswith("Client"))
+    client = client_class(transport)
+    frames = []
+    for operation, args in calls:
+        try:
+            getattr(client, operation)(*args)
+        except TransportError:
+            pass
+        frames.append(transport.last)
+    return frames
+
+
+class TestCompiledInterface:
+    def test_compile_returns_handle(self):
+        handle = fresh_db()
+        assert isinstance(handle, CompiledInterface)
+        assert handle.module is handle.stubs.load()
+        assert handle.module is handle.module  # cached, same object
+
+    def test_operations_sorted(self):
+        assert fresh_db().operations() == ["echo", "lookup", "rev",
+                                           "store"]
+
+    def test_codec_form(self):
+        assert codec_form("_u_req_rev") == ("u_req", "rev")
+        assert codec_form("_m_rep_ok_rev") == ("m_rep_ok", "rev")
+        assert codec_form("_m_rep_x1_send") == ("m_rep_exc", "send")
+        assert codec_form("dispatch") == (None, None)
+
+    def test_codec_table_is_live(self):
+        handle = fresh_db()
+        table = handle.codec_table
+        assert "_u_req_rev" in table["rev"]
+        assert table["rev"]["_u_req_rev"] is handle.module._u_req_rev
+        # Swap an entry underneath; the table reflects it on re-read.
+        sentinel = lambda d, o: ((), o)  # noqa: E731
+        handle.module.__dict__["_u_req_rev"] = sentinel
+        assert handle.codec_table["rev"]["_u_req_rev"] is sentinel
+
+    def test_recompile_byte_identity(self):
+        """Codecs recompiled under any pass configuration serve
+        byte-identical replies — what makes an in-place install safe."""
+        handle = fresh_db()
+        reference = fresh_db()
+        impl = DbImpl()
+        chain = handle.module.entry(
+            "a", 1, handle.module.entry("b", 2, None))
+        frames = capture_requests(handle.module, [
+            ("echo", (b"abcdef",)),
+            ("rev", ([1, 2, 3],)),
+            ("lookup", ("k",)),
+            ("store", (chain,)),
+        ])
+        want = [StubServer(reference.module, impl).serve_bytes(f)
+                for f in frames]
+        for flags in (OptFlags(), OptFlags.all_off(),
+                      OptFlags().disable_pass("chunk_atoms")):
+            handle.recompile(flags=flags, install=True)
+            got = [StubServer(handle.module, impl).serve_bytes(f)
+                   for f in frames]
+            assert got == want, flags
+
+    def test_recompile_install_false_leaves_module_alone(self):
+        handle = fresh_db()
+        before = handle.module._m_rep_ok_rev
+        new = handle.recompile("rev", flags=OptFlags.all_off(),
+                               install=False)
+        assert "_m_rep_ok_rev" in new and "_u_req_rev" in new
+        assert handle.module._m_rep_ok_rev is before
+        handle.recompile("rev", flags=OptFlags.all_off(), install=True)
+        assert handle.module._m_rep_ok_rev is not before
+
+    def test_recompile_unknown_op(self):
+        with pytest.raises(FlickError, match="no operation"):
+            fresh_db().recompile("bogus")
+
+    def test_deprecation_shim_forwards_with_warning(self):
+        handle = fresh_db()
+        with pytest.warns(DeprecationWarning, match="dispatch"):
+            dispatch = handle.dispatch
+        assert dispatch is handle.module.dispatch
+
+    def test_missing_attribute_still_raises(self):
+        with pytest.raises(AttributeError):
+            fresh_db().definitely_not_an_attribute

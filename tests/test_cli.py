@@ -207,18 +207,28 @@ def _free_port():
 
 
 def _serve_and_call(tmp_path, monkeypatch, extra_args):
-    """Run `flick serve` on a thread, make one stub call against it."""
+    """Run `flick serve` on a thread, make one stub call against it,
+    then stop it the way a signal would (``--duration`` only caps a
+    hang)."""
     import socket
     import threading
     import time
 
     from repro import Flick
-    from repro.runtime import TcpClientTransport
+    from repro.runtime import TcpClientTransport, signals
 
     source = write(tmp_path, "calc.idl", SERVE_IDL)
     write(tmp_path, "calc_impl.py", SERVE_IMPL)
     monkeypatch.chdir(tmp_path)
     monkeypatch.syspath_prepend(str(tmp_path))
+    drivers = []
+
+    class RecordingDriver(signals.SignalDriver):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            drivers.append(self)
+
+    monkeypatch.setattr(signals, "SignalDriver", RecordingDriver)
     port = _free_port()
     rc = {}
 
@@ -226,7 +236,7 @@ def _serve_and_call(tmp_path, monkeypatch, extra_args):
         rc["value"] = main(
             ["serve", source, "--impl", "calc_impl:CalcImpl",
              "--backend", "oncrpc-xdr", "--port", str(port),
-             "--duration", "4"] + extra_args
+             "--duration", "30"] + extra_args
         )
 
     thread = threading.Thread(target=run, daemon=True)
@@ -248,6 +258,9 @@ def _serve_and_call(tmp_path, monkeypatch, extra_args):
         assert client.avg([4, 6, 8]) == 6.0
     finally:
         transport.close()
+    # The server accepted, so its driver exists.
+    (driver,) = drivers
+    driver.request_shutdown()
     thread.join(timeout=15)
     assert not thread.is_alive()
     return rc["value"]

@@ -410,10 +410,13 @@ class TestObservability:
                 url = "http://%s:%d/metrics" % endpoint.address[:2]
                 with urllib.request.urlopen(url) as response:
                     text = response.read().decode()
-        assert 'flick_gateway_requests_total' in text
-        assert 'bridge="giop->oncrpc"' in text
-        assert 'path="fused"' in text
-        assert 'path="re-encode"' in text
+        from repro.obs.metrics import parse_prometheus
+
+        paths = {dict(labels)["path"]
+                 for labels in parse_prometheus(text)[
+                     "flick_profile_transcode_total"]
+                 if dict(labels)["bridge"] == "giop->oncrpc"}
+        assert paths == {"fused", "re-encode"}
 
 
 # ----------------------------------------------------------------------

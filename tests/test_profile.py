@@ -22,7 +22,6 @@ import contextlib
 import json
 import urllib.error
 import urllib.request
-import warnings
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -32,6 +31,7 @@ from repro.core.compiler import Flick
 from repro.encoding import MarshalBuffer
 from repro.gateway import AioGatewayServer, build_plan, predict_fused
 from repro.obs import profile
+from repro.obs.metrics import parse_prometheus
 from repro.obs.profile import (
     ArmCounter,
     OpProfile,
@@ -504,73 +504,26 @@ class TestGatewayProfile:
         assert prof.size.sum > 0
         assert prof.codec_hist("transcode").total == 1
 
-    @pytest.mark.filterwarnings("ignore::DeprecationWarning")
-    def test_unified_family_and_deprecated_alias_coexist(
+    def test_unified_family_counts_paths_per_bridge(
             self, iiop_result, onc_result):
         stats = ServerStats()
         module = iiop_result.load_module()
         with _bridge(iiop_result, onc_result, stats=stats) as gateway:
             transport = TcpClientTransport(*gateway.address)
             try:
-                module.Test_MailClient(transport).avg([1, 2])
+                client = module.Test_MailClient(transport)
+                client.avg([1, 2])
+                client.reverse(b"zz")
             finally:
                 transport.close()
         text = stats.registry.render_prometheus()
-        assert 'flick_profile_transcode_total{bridge="giop->oncrpc"' \
-            in text
-        assert 'direction="reply"' in text
-        # The old name still answers, flagged deprecated, requests only.
-        assert 'flick_gateway_requests_total' in text
-        assert 'Deprecated' in text
-
-    def test_deprecated_alias_warns_once(self, iiop_result, onc_result):
-        from repro.gateway import proxy
-
-        proxy._deprecated_counters_warned[0] = False
-        try:
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                with _bridge(iiop_result, onc_result, stats=ServerStats()):
-                    pass
-                with _bridge(iiop_result, onc_result, stats=ServerStats()):
-                    pass
-            deprecations = [w for w in caught
-                            if issubclass(w.category, DeprecationWarning)
-                            and "flick_gateway_requests_total"
-                            in str(w.message)]
-            assert len(deprecations) == 1
-        finally:
-            proxy._deprecated_counters_warned[0] = True
-
-
-# ----------------------------------------------------------------------
-# The renderer hint
-# ----------------------------------------------------------------------
-
-class TestRendererHint:
-    def _profile_with(self, nbytes, var_fields, var_bytes_each):
-        prof = OpProfile("op", "request")
-        prof.calls = prof.sampled = 10
-        for _ in range(10):
-            prof.size.observe(nbytes)
-            for index in range(var_fields):
-                prof.length("f%d" % index, "str", var_bytes_each)
-        return prof
-
-    def test_fixed_heavy_payloads_pick_closures(self):
-        prof = self._profile_with(4096, 0, 0)
-        renderer, reason, scores = profile.renderer_hint([prof])
-        assert renderer == "closures"
-        assert scores["closures"] < scores["py"]
-        assert "fixed" in reason
-
-    def test_string_heavy_payloads_pick_py(self):
-        prof = self._profile_with(200, 8, 16)
-        renderer, _reason, scores = profile.renderer_hint([prof])
-        assert renderer == "py"
-        assert scores["py"] < scores["closures"]
-
-    def test_no_samples_keeps_the_default(self):
-        renderer, reason, scores = profile.renderer_hint([])
-        assert renderer == "py"
-        assert scores == {}
+        samples = parse_prometheus(text)["flick_profile_transcode_total"]
+        seen = {(labels["direction"], labels["path"])
+                for labels in map(dict, samples)
+                if labels["bridge"] == "giop->oncrpc"}
+        assert ("request", "fused") in seen
+        assert ("request", "re-encode") in seen
+        assert {direction for direction, _path in seen} == {
+            "request", "reply"}
+        # One family only: the per-bridge request counter is gone.
+        assert "flick_gateway_requests_total" not in text

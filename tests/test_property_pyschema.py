@@ -3,9 +3,9 @@
 For randomly generated schemas — nested structs, bounded strings and
 sequences, fixed-width scalars — render the *same* schema twice, once
 as top-level CORBA IDL and once as annotated Python dataclasses, then
-drive identical echo sessions through every wire protocol with both
-renderers and assert the recorded traffic is byte-for-byte identical
-across all four compilations.
+drive identical echo sessions through every wire protocol and assert
+the recorded traffic is byte-for-byte identical across both
+compilations.
 """
 
 import string
@@ -180,12 +180,9 @@ def test_generated_pairs_wire_identical(schema):
     for backend in BACKENDS:
         sessions = []
         for lang, source in (("corba", idl_text), ("pyschema", py_text)):
-            for renderer in ("py", "closures"):
-                module = api.compile(
-                    source, lang, backend=backend, renderer=renderer,
-                ).load_module()
-                sessions.append((lang, renderer) + drive(module, ops))
-        _lang0, _renderer0, base_results, base_log = sessions[0]
-        for lang, renderer, results, log in sessions[1:]:
-            assert results == base_results, (backend, lang, renderer)
-            assert log == base_log, (backend, lang, renderer)
+            module = api.compile(source, lang, backend=backend).module
+            sessions.append((lang,) + drive(module, ops))
+        _lang0, base_results, base_log = sessions[0]
+        for lang, results, log in sessions[1:]:
+            assert results == base_results, (backend, lang)
+            assert log == base_log, (backend, lang)
